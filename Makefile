@@ -66,6 +66,13 @@ race:
 		./internal/core/... ./internal/tuner/... ./internal/cache/... \
 		./internal/server/...
 
+# Fuzz smoke: ten seconds of coverage-guided fuzzing on the Cholesky
+# solves (forward-only and full) against Gaussian elimination. The seed
+# corpus under internal/mat/testdata/fuzz also runs in every `make test`.
+.PHONY: fuzz-smoke
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCholeskySolve$$' -fuzztime 10s ./internal/mat
+
 .PHONY: bench
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -1,7 +1,7 @@
 // Command tracereport aggregates a JSONL span trace (written by
 // cmd/glimpse -trace, cmd/experiments -trace, or cmd/fleet -trace) into a
-// per-stage time breakdown: span counts, total/mean/min/max durations, and
-// each stage's share of traced time, plus point-event counts.
+// per-stage time breakdown: span counts, total/self/mean/min/max durations,
+// and each stage's share of traced self time, plus point-event counts.
 //
 // Usage:
 //
@@ -216,16 +216,27 @@ type stageAgg struct {
 	spans    int
 	events   int
 	totalUS  int64
+	selfUS   int64 // total minus the time in child spans
 	minUS    int64
 	maxUS    int64
 	hasSpans bool
 }
 
+// untracedID stands in for the empty TraceID of spans opened outside any
+// distributed trace (a glimpse or fleet run) when the single-trace report
+// rebuilds the span tree; TraceIDs are "job-" plus a job ID, so it cannot
+// collide with one.
+const untracedID = "untraced"
+
 // aggregate folds a JSONL trace into per-stage aggregates. It tolerates a
 // truncated final line (a tracer killed mid-write) like every JSONL reader
-// in this repository.
+// in this repository. Self time comes from the span tree the
+// SpanID/ParentID edges describe, assembled and rolled up by the same
+// telemetry.MergeTraces code -merge uses, so nested stages are not
+// counted twice.
 func aggregate(r io.Reader) (map[string]*stageAgg, error) {
 	aggs := map[string]*stageAgg{}
+	var events []telemetry.SpanEvent
 	err := tlog.ReadJSONLines(r, func(line []byte) error {
 		var ev telemetry.SpanEvent
 		if err := json.Unmarshal(line, &ev); err != nil {
@@ -234,6 +245,10 @@ func aggregate(r io.Reader) (map[string]*stageAgg, error) {
 		if ev.Stage == "" {
 			return fmt.Errorf("trace record %d has no stage", ev.Seq)
 		}
+		if ev.TraceID == "" {
+			ev.TraceID = untracedID
+		}
+		events = append(events, ev)
 		a := aggs[ev.Stage]
 		if a == nil {
 			a = &stageAgg{}
@@ -261,11 +276,18 @@ func aggregate(r io.Reader) (map[string]*stageAgg, error) {
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("trace is empty")
 	}
+	for _, t := range telemetry.MergeTraces([]telemetry.ProcTrace{{Events: events}}) {
+		for _, st := range t.StageRollup() {
+			aggs[st.Stage].selfUS += st.SelfUS
+		}
+	}
 	return aggs, nil
 }
 
 // report renders the aggregate breakdown, stages sorted by total time
-// (ties by name so output is reproducible).
+// (ties by name so output is reproducible). A stage's share is its self
+// time over the trace's total self time, so shares sum to 100% however
+// deeply the stages nest.
 func report(r io.Reader, name string) (*metrics.Table, error) {
 	aggs, err := aggregate(r)
 	if err != nil {
@@ -275,7 +297,7 @@ func report(r io.Reader, name string) (*metrics.Table, error) {
 	grand := int64(0)
 	for s, a := range aggs {
 		stages = append(stages, s)
-		grand += a.totalUS
+		grand += a.selfUS
 	}
 	sort.Slice(stages, func(i, j int) bool {
 		ti, tj := aggs[stages[i]].totalUS, aggs[stages[j]].totalUS
@@ -287,7 +309,7 @@ func report(r io.Reader, name string) (*metrics.Table, error) {
 
 	table := metrics.NewTable(
 		fmt.Sprintf("Trace breakdown: %s", name),
-		"stage", "spans", "events", "total ms", "mean ms", "min ms", "max ms", "share")
+		"stage", "spans", "events", "total ms", "self ms", "mean ms", "min ms", "max ms", "share")
 	for _, s := range stages {
 		a := aggs[s]
 		mean := 0.0
@@ -296,10 +318,11 @@ func report(r io.Reader, name string) (*metrics.Table, error) {
 		}
 		share := 0.0
 		if grand > 0 {
-			share = 100 * float64(a.totalUS) / float64(grand)
+			share = 100 * float64(a.selfUS) / float64(grand)
 		}
 		table.AddRowf(s, a.spans, a.events,
 			fmt.Sprintf("%.3f", float64(a.totalUS)/1e3),
+			fmt.Sprintf("%.3f", float64(a.selfUS)/1e3),
 			fmt.Sprintf("%.3f", mean),
 			fmt.Sprintf("%.3f", float64(a.minUS)/1e3),
 			fmt.Sprintf("%.3f", float64(a.maxUS)/1e3),

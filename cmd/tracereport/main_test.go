@@ -92,3 +92,71 @@ func TestAggregateRejectsEmptyAndGarbage(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 }
+
+// buildNestedTrace writes two step trees: an untraced one as a glimpse
+// run emits it (step 10ms holding anneal 6ms and measure 1ms) and one
+// inside a job's distributed trace (step 4ms holding anneal 2ms).
+func buildNestedTrace(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	clk := telemetry.NewFakeClock(time.Unix(0, 0))
+	tr := telemetry.NewTracer(&buf, clk)
+
+	step, sc := tr.StartSpan(telemetry.SpanContext{}, telemetry.StageStep)
+	an, _ := tr.StartSpan(sc, telemetry.StageAnneal)
+	clk.Advance(6 * time.Millisecond)
+	an.End()
+	me, _ := tr.StartSpan(sc, telemetry.StageMeasure)
+	clk.Advance(time.Millisecond)
+	me.End()
+	clk.Advance(3 * time.Millisecond)
+	step.End()
+
+	job := telemetry.SpanContext{TraceID: "job-j1", JobID: "j1"}
+	step, sc = tr.StartSpan(job, telemetry.StageStep)
+	an, _ = tr.StartSpan(sc, telemetry.StageAnneal)
+	clk.Advance(2 * time.Millisecond)
+	an.End()
+	clk.Advance(2 * time.Millisecond)
+	step.End()
+	if err := tr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReportSharesNestedStagesBySelfTime pins the share column to self
+// time: nested stages do not double-count (inclusive shares would split a
+// 23ms sum of span times that holds only 14ms of work), and the shares add
+// up to 100%.
+func TestReportSharesNestedStagesBySelfTime(t *testing.T) {
+	aggs, err := aggregate(bytes.NewReader(buildNestedTrace(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for stage, want := range map[string][2]int64{
+		telemetry.StageStep:    {14000, 5000},
+		telemetry.StageAnneal:  {8000, 8000},
+		telemetry.StageMeasure: {1000, 1000},
+	} {
+		a := aggs[stage]
+		if a == nil || a.totalUS != want[0] || a.selfUS != want[1] {
+			t.Fatalf("%s agg = %+v want total %d self %d", stage, a, want[0], want[1])
+		}
+	}
+
+	table, err := report(bytes.NewReader(buildNestedTrace(t)), "nested")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := table.String()
+	for _, want := range []string{"57.1%", "35.7%", "7.1%"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("report missing share %q:\n%s", want, out)
+		}
+	}
+	// Stages still sort by total time: step (14ms) before anneal (8ms).
+	if strings.Index(out, "step") > strings.Index(out, "anneal") {
+		t.Fatalf("stages not sorted by total time:\n%s", out)
+	}
+}

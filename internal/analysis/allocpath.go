@@ -6,7 +6,7 @@ import (
 )
 
 // AllocPath polices the per-candidate scoring paths in the hot packages
-// (Scope.Hot: gbt, nn, acq, anneal, sampler). The tuner evaluates tens of
+// (Scope.Hot: gbt, nn, acq, anneal, sampler, gp). The tuner evaluates tens of
 // thousands of candidates per run, so an allocation in a scoring loop is
 // multiplied by the full candidate stream and shows up directly in tuning
 // wall time. The analyzer computes the set of functions reachable (via

@@ -57,6 +57,8 @@ var Scope = struct {
 		"internal/prior",
 		"internal/space",
 		"internal/telemetry",
+		"internal/gp",
+		"internal/mat",
 	},
 	RNGSeam:   "internal/rng",
 	ClockSeam: "internal/telemetry",
@@ -94,6 +96,7 @@ var Scope = struct {
 		"internal/acq",
 		"internal/anneal",
 		"internal/sampler",
+		"internal/gp",
 	},
 	HotRoots: regexp.MustCompile(`^(Predict|Score|Infer|Select|Run|Sample|Forward)`),
 }

@@ -22,11 +22,15 @@ import (
 // Problem describes a discrete maximization problem for the annealer.
 // Score and Neighbor may be called from multiple goroutines concurrently
 // when the annealer runs with more than one worker; both must be safe for
-// concurrent use (pure functions of their arguments in practice).
+// concurrent use.
 type Problem struct {
 	// Size is the number of points in the space.
 	Size int64
-	// Score returns the surrogate value to maximize at index i.
+	// Score returns the surrogate value to maximize at index i. It must be
+	// pure: the same index always yields the same score. Each chain calls
+	// it at most once per distinct index and reuses the memoized score on
+	// revisits, so a Score with side effects or drift would see fewer
+	// calls than there are steps.
 	Score func(i int64) float64
 	// Neighbor proposes a move from index i. If nil, a uniform random
 	// index is used (pure random-restart annealing).
@@ -134,19 +138,20 @@ func Run(p Problem, cfg Config, topK int, g *rng.RNG) ([]Result, error) {
 		}
 		energy := p.Score(state)
 
+		// visited doubles as the chain's score memo: Score is pure, so a
+		// revisited index reuses its recorded score instead of paying for
+		// another surrogate evaluation.
 		visited := map[int64]float64{state: energy}
-		record := func(i int64, s float64) {
-			if old, ok := visited[i]; !ok || s > old {
-				visited[i] = s
-			}
-		}
 
 		temp := startTemp
 		for step := 0; step < steps; step++ {
 			cand := neighbor(state, cg)
 			if cand >= 0 && cand < p.Size {
-				s := p.Score(cand)
-				record(cand, s)
+				s, seen := visited[cand]
+				if !seen {
+					s = p.Score(cand)
+					visited[cand] = s
+				}
 				delta := s - energy
 				if delta >= 0 || cg.Float64() < math.Exp(delta/temp) {
 					state = cand

@@ -14,6 +14,10 @@ import (
 // Kernel computes the covariance between two feature vectors.
 type Kernel interface {
 	Eval(a, b []float64) float64
+	// EvalRows writes k(q, x[i]) into dst[i] for every row of x: one
+	// dispatch for a whole cross-covariance row, bit-identical to calling
+	// Eval(q, x[i]) per row. len(dst) must equal len(x).
+	EvalRows(dst, q []float64, x [][]float64)
 	// Hyper returns the hyperparameters (for reporting) as name→value.
 	Hyper() map[string]float64
 }
@@ -25,8 +29,17 @@ type RBF struct {
 }
 
 // Eval computes the RBF covariance.
-func (k RBF) Eval(a, b []float64) float64 {
-	d2 := mat.Dist2(a, b)
+func (k RBF) Eval(a, b []float64) float64 { return k.ofDist2(mat.Dist2(a, b)) }
+
+// EvalRows computes the RBF covariance of q with every row of x.
+func (k RBF) EvalRows(dst, q []float64, x [][]float64) {
+	for i, xi := range x[:len(dst)] {
+		dst[i] = k.ofDist2(mat.Dist2(q, xi))
+	}
+}
+
+// ofDist2 is the RBF covariance at squared distance d2.
+func (k RBF) ofDist2(d2 float64) float64 {
 	return k.Variance * math.Exp(-d2/(2*k.LengthScale*k.LengthScale))
 }
 
@@ -43,8 +56,18 @@ type Matern52 struct {
 }
 
 // Eval computes the Matérn-5/2 covariance.
-func (k Matern52) Eval(a, b []float64) float64 {
-	r := math.Sqrt(mat.Dist2(a, b)) / k.LengthScale
+func (k Matern52) Eval(a, b []float64) float64 { return k.ofDist2(mat.Dist2(a, b)) }
+
+// EvalRows computes the Matérn-5/2 covariance of q with every row of x.
+func (k Matern52) EvalRows(dst, q []float64, x [][]float64) {
+	for i, xi := range x[:len(dst)] {
+		dst[i] = k.ofDist2(mat.Dist2(q, xi))
+	}
+}
+
+// ofDist2 is the Matérn-5/2 covariance at squared distance d2.
+func (k Matern52) ofDist2(d2 float64) float64 {
+	r := math.Sqrt(d2) / k.LengthScale
 	s5r := math.Sqrt(5) * r
 	return k.Variance * (1 + s5r + 5*r*r/3) * math.Exp(-s5r)
 }
@@ -54,28 +77,18 @@ func (k Matern52) Hyper() map[string]float64 {
 	return map[string]float64{"variance": k.Variance, "length_scale": k.LengthScale}
 }
 
-// gram builds the symmetric kernel matrix K(X, X) + noise·I.
+// gram builds the symmetric kernel matrix K(X, X) + noise·I, one
+// EvalRows call per row for the upper triangle, mirrored below.
 func gram(k Kernel, x [][]float64, noise float64) *mat.Matrix {
 	n := len(x)
 	out := mat.New(n, n)
 	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := k.Eval(x[i], x[j])
-			out.Set(i, j, v)
-			out.Set(j, i, v)
+		row := out.RawRow(i)
+		k.EvalRows(row[i:], x[i], x[i:])
+		for j := i + 1; j < n; j++ {
+			out.Set(j, i, row[j])
 		}
-		out.Set(i, i, out.At(i, i)+noise)
-	}
-	return out
-}
-
-// crossGram builds K(X*, X) between query points and training points.
-func crossGram(k Kernel, xq, x [][]float64) *mat.Matrix {
-	out := mat.New(len(xq), len(x))
-	for i, q := range xq {
-		for j, t := range x {
-			out.Set(i, j, k.Eval(q, t))
-		}
+		row[i] += noise
 	}
 	return out
 }

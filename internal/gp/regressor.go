@@ -2,6 +2,7 @@ package gp
 
 import (
 	"math"
+	"sync"
 
 	"github.com/neuralcompile/glimpse/internal/mat"
 )
@@ -61,32 +62,43 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 // Fitted reports whether Fit has been called successfully.
 func (r *Regressor) Fitted() bool { return r.chol != nil }
 
-// Predict returns the posterior mean and variance at query point q.
+// Predict returns the posterior mean and variance at query point q. The
+// variance uses the forward half of the Cholesky solve only:
+//
+//	σ²(q) = k(q,q) − k*ᵀ(LLᵀ)⁻¹k* = k(q,q) − ‖L⁻¹k*‖²
+//
+// Predict allocates nothing: k* lives in pooled scratch that the forward
+// substitution overwrites in place. It is safe for concurrent use.
 func (r *Regressor) Predict(q []float64) (mean, variance float64) {
+	prior := r.Kernel.Eval(q, q)
 	if !r.Fitted() {
-		return r.yMean, r.Kernel.Eval(q, q)
+		return r.yMean, prior
 	}
-	ks := make([]float64, len(r.x))
-	for i, xi := range r.x {
-		ks[i] = r.Kernel.Eval(q, xi)
-	}
+	buf := getScratch(len(r.x))
+	ks := *buf
+	r.Kernel.EvalRows(ks, q, r.x)
 	mean = r.yMean + mat.Dot(ks, r.alpha)
-	v := mat.SolveCholesky(r.chol, ks)
-	variance = r.Kernel.Eval(q, q) - mat.Dot(ks, v)
+	mat.ForwardSubstitute(r.chol, ks) // ks ← L⁻¹k*
+	variance = prior - mat.Dot(ks, ks)
+	scratch.Put(buf)
 	if variance < 0 {
 		variance = 0
 	}
 	return mean, variance
 }
 
-// PredictBatch evaluates the posterior mean and variance at many points.
-func (r *Regressor) PredictBatch(q [][]float64) (means, variances []float64) {
-	means = make([]float64, len(q))
-	variances = make([]float64, len(q))
-	for i, p := range q {
-		means[i], variances[i] = r.Predict(p)
+// scratch pools Predict's k* buffers. A pool rather than a per-Regressor
+// buffer keeps Predict lock-free under the annealer's concurrent chains.
+var scratch = sync.Pool{New: func() any { return new([]float64) }}
+
+// getScratch returns a pooled buffer resliced to length n.
+func getScratch(n int) *[]float64 {
+	buf := scratch.Get().(*[]float64)
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
 	}
-	return means, variances
+	*buf = (*buf)[:n]
+	return buf
 }
 
 // LogMarginalLikelihood returns log p(y | X, θ) for the fitted GP.

@@ -49,13 +49,8 @@ func SolveCholesky(l *Matrix, b []float64) []float64 {
 	}
 	// Forward: L·y = b.
 	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * y[k]
-		}
-		y[i] = s / l.At(i, i)
-	}
+	copy(y, b)
+	ForwardSubstitute(l, y)
 	// Backward: Lᵀ·x = y.
 	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
@@ -66,6 +61,24 @@ func SolveCholesky(l *Matrix, b []float64) []float64 {
 		x[i] = s / l.At(i, i)
 	}
 	return x
+}
+
+// ForwardSubstitute solves L·y = b in place for a lower-triangular L: on
+// return b holds y. Only the lower triangle of L is read, one contiguous
+// row slice at a time, and nothing is allocated.
+func ForwardSubstitute(l *Matrix, b []float64) {
+	n := l.rows
+	if l.cols != n || len(b) != n {
+		panic(fmt.Sprintf("mat: ForwardSubstitute of %dx%d with rhs length %d", l.rows, l.cols, len(b)))
+	}
+	for i := 0; i < n; i++ {
+		row := l.data[i*n : i*n+i+1]
+		s := b[i]
+		for k, lik := range row[:i] {
+			s -= lik * b[k]
+		}
+		b[i] = s / row[i]
+	}
 }
 
 // LogDetCholesky returns log|A| given the Cholesky factor L of A.

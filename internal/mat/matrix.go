@@ -128,6 +128,10 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 	}
 	out := New(m.rows, b.cols)
 	// ikj loop order keeps inner accesses sequential for both operands.
+	// The inner loop is unrolled by four: each element still gets exactly
+	// one a·b add per k, in k order, so results are bit-identical to the
+	// rolled loop, but the rolled loop is small enough that its speed
+	// swung by a third with where the linker happened to place it.
 	for i := 0; i < m.rows; i++ {
 		mi := m.data[i*m.cols:]
 		oi := out.data[i*out.cols : (i+1)*out.cols]
@@ -137,8 +141,16 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 				continue
 			}
 			bk := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range bk {
-				oi[j] += a * bv
+			j := 0
+			for ; j+4 <= len(bk); j += 4 {
+				o, v := oi[j:j+4:j+4], bk[j:j+4:j+4]
+				o[0] += a * v[0]
+				o[1] += a * v[1]
+				o[2] += a * v[2]
+				o[3] += a * v[3]
+			}
+			for ; j < len(bk); j++ {
+				oi[j] += a * bk[j]
 			}
 		}
 	}

@@ -82,6 +82,31 @@ func TestMulKnown(t *testing.T) {
 	}
 }
 
+// TestMulMatchesRolledLoop pins the unrolled Mul to the plain ikj loop
+// bit for bit, at every inner length remainder mod 4 and with the zero
+// entries the loop skips.
+func TestMulMatchesRolledLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for cols := 1; cols <= 9; cols++ {
+		a, b := randomMatrix(rng, 5, 7), randomMatrix(rng, 7, cols)
+		a.Set(1, 2, 0)
+		got := a.Mul(b)
+		for i := 0; i < a.rows; i++ {
+			for j := 0; j < cols; j++ {
+				want := 0.0
+				for k := 0; k < a.cols; k++ {
+					if a.At(i, k) != 0 {
+						want += a.At(i, k) * b.At(k, j)
+					}
+				}
+				if math.Float64bits(got.At(i, j)) != math.Float64bits(want) {
+					t.Fatalf("cols=%d: Mul[%d][%d] = %v want %v", cols, i, j, got.At(i, j), want)
+				}
+			}
+		}
+	}
+}
+
 func TestMulShapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
