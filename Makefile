@@ -66,12 +66,15 @@ race:
 		./internal/core/... ./internal/tuner/... ./internal/cache/... \
 		./internal/server/...
 
-# Fuzz smoke: ten seconds of coverage-guided fuzzing on the Cholesky
-# solves (forward-only and full) against Gaussian elimination. The seed
-# corpus under internal/mat/testdata/fuzz also runs in every `make test`.
+# Fuzz smoke: ten seconds of coverage-guided fuzzing on each of the
+# Cholesky solves (forward-only and full, against Gaussian elimination)
+# and the tuned-config store decoder (Open/OpenReadOnly on arbitrary
+# bytes). The seed corpora under internal/{mat,cache}/testdata/fuzz also
+# run in every `make test`.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCholeskySolve$$' -fuzztime 10s ./internal/mat
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheOpen$$' -fuzztime 10s ./internal/cache
 
 .PHONY: bench
 bench:

@@ -99,8 +99,7 @@ func main() {
 	if *tracePath != "" {
 		tf, err := os.Create(*tracePath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fleet:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer tf.Close()
 		tracer = telemetry.NewTracer(tf, nil)
@@ -116,8 +115,7 @@ func main() {
 		})
 		dbgBound, closeDebug, err := telemetry.ServeDebug(*debugAddr, mux)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fleet:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer closeDebug()
 		fmt.Fprintf(os.Stderr, "fleet: debug endpoints (pprof, /telemetryz) on http://%s\n", dbgBound)
@@ -138,31 +136,33 @@ func main() {
 		if tk, ok := toolkits[gpu]; ok {
 			return tk, nil
 		}
+		var path string
 		if *artifacts != "" {
-			path := filepath.Join(*artifacts, gpu+".toolkit.json")
-			if tk, err := core.LoadToolkit(path); err == nil && tk.TargetName == gpu {
-				fmt.Fprintf(os.Stderr, "fleet: loaded artifacts for %s\n", gpu)
-				toolkits[gpu] = tk
-				return tk, nil
-			}
+			path = filepath.Join(*artifacts, gpu+".toolkit.json")
 		}
-		fmt.Fprintf(os.Stderr, "fleet: training artifacts for %s...\n", gpu)
-		tk, err := core.TrainToolkit(gpu, core.ToolkitConfig{}, g.Split("toolkit/"+gpu))
+		tk, loaded, err := core.LoadOrTrainToolkit(path, gpu, g.Split("toolkit/"+gpu))
 		if err != nil {
 			return nil, err
 		}
-		if *artifacts != "" {
-			if err := os.MkdirAll(*artifacts, 0o755); err != nil {
-				return nil, err
-			}
-			if err := tk.Save(filepath.Join(*artifacts, gpu+".toolkit.json")); err != nil {
-				return nil, err
-			}
+		if loaded {
+			fmt.Fprintf(os.Stderr, "fleet: loaded artifacts for %s\n", gpu)
+		} else {
+			fmt.Fprintf(os.Stderr, "fleet: trained artifacts for %s\n", gpu)
 		}
 		toolkits[gpu] = tk
 		return tk, nil
 	}
 
+	reliable := measure.ReliableConfig{
+		MaxAttempts:  *retries,
+		BatchTimeout: *batchTimeout,
+		Seed:         *seed,
+		EventSink: func(e measure.Event) {
+			tracer.Event(telemetry.StageMeasure, map[string]any{
+				"event": e.Kind, "backend": e.Backend, "task": e.Task, "detail": e.Detail,
+			})
+		},
+	}
 	cfg := fleet.Config{
 		Model:           *model,
 		Budget:          tuner.Budget{MaxMeasurements: *budget, Patience: 4, Epsilon: 0.01},
@@ -173,16 +173,7 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			return measure.NewReliable(measure.ReliableConfig{
-				MaxAttempts:  *retries,
-				BatchTimeout: *batchTimeout,
-				Seed:         *seed,
-				EventSink: func(e measure.Event) {
-					tracer.Event(telemetry.StageMeasure, map[string]any{
-						"event": e.Kind, "backend": e.Backend, "task": e.Task, "detail": e.Detail,
-					})
-				},
-			}, local)
+			return measure.NewReliable(reliable, local)
 		},
 		NewTuner: func(task workload.Task, gpu string) (tuner.Tuner, error) {
 			switch *tunerName {
@@ -215,8 +206,7 @@ func main() {
 			store, err = cache.Open(*cachePath)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fleet:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer store.Close()
 		if n := store.Len(); n > 0 {
@@ -229,8 +219,7 @@ func main() {
 	if *ckptPath != "" {
 		ck, err := fleet.OpenCheckpoint(*ckptPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fleet:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer ck.Close()
 		if n := ck.Len(); n > 0 {
@@ -244,8 +233,7 @@ func main() {
 	if *endpoints > 0 {
 		scenario, serr := faults.ScenarioByName(*chaos, *chaosSeed, *endpoints, *chaosFrac, 0)
 		if serr != nil {
-			fmt.Fprintln(os.Stderr, "fleet:", serr)
-			os.Exit(1)
+			fail(serr)
 		}
 		eps := make([]fleet.Endpoint, *endpoints)
 		for i := range eps {
@@ -265,20 +253,10 @@ func main() {
 			Shards:    *shards,
 			Steal:     *steal,
 			Speculate: *speculate,
-			Reliable: measure.ReliableConfig{
-				MaxAttempts:  *retries,
-				BatchTimeout: *batchTimeout,
-				Seed:         *seed,
-				EventSink: func(e measure.Event) {
-					tracer.Event(telemetry.StageMeasure, map[string]any{
-						"event": e.Kind, "backend": e.Backend, "task": e.Task, "detail": e.Detail,
-					})
-				},
-			},
+			Reliable:  reliable,
 		}, eps)
 		if serr != nil {
-			fmt.Fprintln(os.Stderr, "fleet:", serr)
-			os.Exit(1)
+			fail(serr)
 		}
 		if *chaos != "none" {
 			fmt.Fprintf(os.Stderr, "fleet: chaos %q (seed %d, frac %.2f) on %d endpoints\n",
@@ -296,8 +274,7 @@ func main() {
 		plans, err = fleet.TuneFleet(cfg, targets, g.Split("fleet"))
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fleet:", err)
-		os.Exit(1)
+		fail(err)
 	}
 
 	table := metrics.NewTable(
@@ -315,13 +292,11 @@ func main() {
 		}
 		if *out != "" {
 			if err := os.MkdirAll(*out, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, "fleet:", err)
-				os.Exit(1)
+				fail(err)
 			}
 			path := filepath.Join(*out, fmt.Sprintf("%s.%s.plan.json", *model, p.GPU))
 			if err := p.Save(path); err != nil {
-				fmt.Fprintln(os.Stderr, "fleet:", err)
-				os.Exit(1)
+				fail(err)
 			}
 		}
 	}
@@ -341,4 +316,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fleet: cache: %d hits, %d misses, %d warm starts, %d puts (%d skipped)\n",
 			st.Hits, st.Misses, st.WarmStarts, st.Puts, st.PutSkips)
 	}
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "fleet:", err)
+	os.Exit(1)
 }

@@ -33,8 +33,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -57,56 +59,72 @@ import (
 )
 
 func main() {
-	model := flag.String("model", workload.ResNet18, "model: alexnet | resnet-18 | vgg-16")
-	gpu := flag.String("gpu", hwspec.TitanXp, "target GPU (see cmd/blueprintctl list)")
-	taskList := flag.String("tasks", "", "comma-separated 1-based task indices (default: all)")
-	budget := flag.Int("budget", 192, "hardware measurements per task")
-	seed := flag.Int64("seed", 1, "random seed")
-	compare := flag.Bool("compare", false, "also run AutoTVM for reference")
-	rpcAddr := flag.String("rpc", "", "measurement server address (default: in-process simulator)")
-	artifacts := flag.String("artifacts", "", "toolkit artifact cache path (load or train+save)")
-	logPath := flag.String("log", "", "append measurements to this JSONL tuning log")
-	ckptPath := flag.String("checkpoint", "", "JSONL checkpoint file (resume skips recorded tasks)")
-	fallbackLocal := flag.Bool("fallback-local", false, "with -rpc: fail over to the in-process simulator")
-	retries := flag.Int("retries", 3, "with -rpc: measurement attempts per batch")
-	batchTimeout := flag.Duration("batch-timeout", 30*time.Second, "with -rpc: deadline per measurement batch")
-	workers := flag.Int("workers", runtime.NumCPU(), "goroutines for search and scoring (results are identical for any value)")
-	tracePath := flag.String("trace", "", "write a JSONL span trace of the tuning stages to this file")
-	cachePath := flag.String("cache", "", "persistent tuned-config store (JSONL; exact hits skip tuning, misses warm-start)")
-	warmK := flag.Int("warm-k", 3, "with -cache: nearest donor devices per warm start")
-	cacheReadonly := flag.Bool("cache-readonly", false, "with -cache: serve and warm-start but never write")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "glimpse:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and tunes the selected tasks, writing the result table
+// to stdout and progress messages to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("glimpse", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	model := fs.String("model", workload.ResNet18, "model: alexnet | resnet-18 | vgg-16")
+	gpu := fs.String("gpu", hwspec.TitanXp, "target GPU (see cmd/blueprintctl list)")
+	taskList := fs.String("tasks", "", "comma-separated 1-based task indices (default: all)")
+	budget := fs.Int("budget", 192, "hardware measurements per task")
+	seed := fs.Int64("seed", 1, "random seed")
+	compare := fs.Bool("compare", false, "also run AutoTVM for reference")
+	rpcAddr := fs.String("rpc", "", "measurement server address (default: in-process simulator)")
+	artifacts := fs.String("artifacts", "", "toolkit artifact cache path (load or train+save)")
+	logPath := fs.String("log", "", "append measurements to this JSONL tuning log")
+	ckptPath := fs.String("checkpoint", "", "JSONL checkpoint file (resume skips recorded tasks)")
+	fallbackLocal := fs.Bool("fallback-local", false, "with -rpc: fail over to the in-process simulator")
+	retries := fs.Int("retries", 3, "with -rpc: measurement attempts per batch")
+	batchTimeout := fs.Duration("batch-timeout", 30*time.Second, "with -rpc: deadline per measurement batch")
+	workers := fs.Int("workers", runtime.NumCPU(), "goroutines for search and scoring (results are identical for any value)")
+	tracePath := fs.String("trace", "", "write a JSONL span trace of the tuning stages to this file")
+	cachePath := fs.String("cache", "", "persistent tuned-config store (JSONL; exact hits skip tuning, misses warm-start)")
+	warmK := fs.Int("warm-k", 3, "with -cache: nearest donor devices per warm start")
+	cacheReadonly := fs.Bool("cache-readonly", false, "with -cache: serve and warm-start but never write")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	parallel.SetDefaultWorkers(*workers)
+	// Progress messages are best-effort: a failed stderr write must not
+	// fail the tuning run.
+	logf := func(format string, a ...any) { _, _ = fmt.Fprintf(stderr, format, a...) }
 
 	var tracer *telemetry.Tracer
 	if *tracePath != "" {
 		tf, err := os.Create(*tracePath)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer tf.Close()
 		tracer = telemetry.NewTracer(tf, nil)
 		defer func() {
 			if err := tracer.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, "glimpse: trace write error:", err)
+				logf("glimpse: trace write error: %v\n", err)
 			}
 		}()
 	}
 
 	tasks, err := workload.Tasks(*model)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if *taskList != "" {
 		var picked []workload.Task
 		for _, s := range strings.Split(*taskList, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil {
-				fail(fmt.Errorf("bad task index %q: %w", s, err))
+				return fmt.Errorf("bad task index %q: %w", s, err)
 			}
 			task, err := workload.TaskByIndex(*model, n)
 			if err != nil {
-				fail(err)
+				return err
 			}
 			picked = append(picked, task)
 		}
@@ -117,14 +135,14 @@ func main() {
 	if *rpcAddr != "" {
 		remote, err := measure.Dial(*rpcAddr, *gpu)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer remote.Close()
 		chain := []measure.Measurer{remote}
 		if *fallbackLocal {
 			local, err := measure.NewLocal(*gpu)
 			if err != nil {
-				fail(err)
+				return err
 			}
 			chain = append(chain, local)
 		}
@@ -139,12 +157,12 @@ func main() {
 			},
 		}, chain...)
 		if err != nil {
-			fail(err)
+			return err
 		}
 	} else {
 		local, err := measure.NewLocal(*gpu)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		m = local
 	}
@@ -156,7 +174,7 @@ func main() {
 		if existing, err := os.ReadFile(*logPath); err == nil {
 			entries, err := tlog.Read(bytes.NewReader(existing))
 			if err != nil {
-				fail(fmt.Errorf("existing log %s: %w", *logPath, err))
+				return fmt.Errorf("existing log %s: %w", *logPath, err)
 			}
 			if len(entries) > 0 {
 				lastSeq = entries[len(entries)-1].Seq
@@ -164,32 +182,23 @@ func main() {
 		}
 		f, err := os.OpenFile(*logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer f.Close()
 		m = &tlog.RecordingMeasurer{Inner: m, Out: tlog.NewWriter(f, lastSeq)}
 	}
 
 	g := rng.New(*seed)
-	var tk *core.Toolkit
-	if *artifacts != "" {
-		if loaded, err := core.LoadToolkit(*artifacts); err == nil && loaded.TargetName == *gpu {
-			fmt.Fprintf(os.Stderr, "loaded trained artifacts from %s\n", *artifacts)
-			tk = loaded
-		}
-	}
-	if tk == nil {
-		fmt.Fprintf(os.Stderr, "training Glimpse offline artifacts for %s (leave-target-out)...\n", *gpu)
-		var err error
-		tk, err = core.TrainToolkit(*gpu, core.ToolkitConfig{}, g.Split("toolkit"))
-		if err != nil {
-			fail(err)
-		}
+	tk, loaded, err := core.LoadOrTrainToolkit(*artifacts, *gpu, g.Split("toolkit"))
+	switch {
+	case err != nil:
+		return err
+	case loaded:
+		logf("loaded trained artifacts from %s\n", *artifacts)
+	default:
+		logf("trained Glimpse offline artifacts for %s (leave-target-out)\n", *gpu)
 		if *artifacts != "" {
-			if err := tk.Save(*artifacts); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "saved artifacts to %s\n", *artifacts)
+			logf("saved artifacts to %s\n", *artifacts)
 		}
 	}
 
@@ -201,11 +210,11 @@ func main() {
 			store, err = cache.Open(*cachePath)
 		}
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer store.Close()
 		if n := store.Len(); n > 0 {
-			fmt.Fprintf(os.Stderr, "tuned-config cache: %d entries in %s\n", n, *cachePath)
+			logf("tuned-config cache: %d entries in %s\n", n, *cachePath)
 		}
 	}
 
@@ -213,11 +222,11 @@ func main() {
 	if *ckptPath != "" {
 		ck, err = fleet.OpenCheckpoint(*ckptPath)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer ck.Close()
 		if n := ck.Len(); n > 0 {
-			fmt.Fprintf(os.Stderr, "resuming: %d tasks already checkpointed in %s\n", n, *ckptPath)
+			logf("resuming: %d tasks already checkpointed in %s\n", n, *ckptPath)
 		}
 	}
 
@@ -236,70 +245,34 @@ func main() {
 		}
 		sp, err := space.ForTask(task)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		var fp string
-		var warm *cache.WarmStart
-		taskBudget := bud
-		if store != nil {
-			fp = cache.Fingerprint(task, sp)
-			lsp := tracer.Start(telemetry.StageCacheLookup)
-			lsp.SetAttr("task", task.Name())
-			ce, hit := store.Get(fp, *gpu)
-			lsp.SetAttr("hit", hit)
-			lsp.End()
-			if hit && ce.BestConfig < sp.Size() {
-				hsp := tracer.Start(telemetry.StageCacheHit)
-				hsp.SetAttr("task", task.Name())
-				hsp.SetAttr("gflops", ce.GFLOPS)
-				hsp.End()
-				table.AddRowf(task.Name(), "glimpse (cache)",
-					fmt.Sprintf("%.0f", ce.GFLOPS), fmt.Sprintf("%.4f", ce.TimeMS),
-					0, 0, "0")
-				continue
+		lk := store.Lookup(task, sp, *gpu, *warmK, tracer, telemetry.SpanContext{})
+		res, name := lk.Hit, cache.HitTunerName
+		if res == nil {
+			gl := tk.Tuner()
+			gl.Tracer = tracer
+			taskBudget, warm := lk.ApplyWarmStart(gl, bud)
+			name = "glimpse"
+			if warm {
+				name = "glimpse (warm)"
 			}
-			warm = store.WarmStart(fp, *gpu, sp, *warmK)
-		}
-		gl := tk.Tuner()
-		gl.Tracer = tracer
-		name := "glimpse"
-		if warm != nil {
-			gl.SetWarmStart(warm)
-			taskBudget = cache.ShrinkBudget(bud, cache.WarmBudgetFrac)
-			name = "glimpse (warm)"
-		}
-		res, err := gl.Tune(task, sp, m, taskBudget, g.Split("tune/"+task.Name()))
-		if err != nil {
-			fail(err)
-		}
-		if store != nil {
-			if ce, ok := cache.EntryFromResult(fp, *gpu, res, sp); ok {
-				ce.Model = *model
-				ce.TaskIndex = task.Index
-				if _, err := store.Put(ce); err != nil {
-					fail(err)
-				}
+			if res, err = gl.Tune(task, sp, m, taskBudget, g.Split("tune/"+task.Name())); err != nil {
+				return err
+			}
+			if err := store.Record(lk, *model, task, sp, res); err != nil {
+				return err
 			}
 		}
 		table.AddRowf(task.Name(), name,
 			fmt.Sprintf("%.0f", res.BestGFLOPS), fmt.Sprintf("%.4f", res.BestTimeMS),
 			res.Measurements, res.Invalid, fmt.Sprintf("%.0f", res.GPUSeconds))
+		if lk.Hit != nil {
+			continue
+		}
 		if ck != nil && res.BestIndex >= 0 {
-			tp := fleet.TaskPlan{
-				TaskName:     task.Name(),
-				TaskIndex:    task.Index,
-				Kind:         task.Kind.String(),
-				ConfigIndex:  res.BestIndex,
-				Schedule:     sp.Describe(sp.FromIndex(res.BestIndex)),
-				GFLOPS:       res.BestGFLOPS,
-				TimeMS:       res.BestTimeMS,
-				Repeats:      task.Repeats,
-				GPUSeconds:   res.GPUSeconds,
-				Measurements: res.Measurements,
-				Invalid:      res.Invalid,
-			}
-			if err := ck.Append(*model, *gpu, tp); err != nil {
-				fail(err)
+			if err := ck.Append(*model, *gpu, fleet.NewTaskPlan(task, sp, res)); err != nil {
+				return err
 			}
 		}
 		if *compare {
@@ -308,22 +281,20 @@ func main() {
 			atvm.Model.Tracer = tracer
 			ares, err := atvm.Tune(task, sp, m, bud, g.Split("autotvm/"+task.Name()))
 			if err != nil {
-				fail(err)
+				return err
 			}
 			table.AddRowf("", "autotvm",
 				fmt.Sprintf("%.0f", ares.BestGFLOPS), fmt.Sprintf("%.4f", ares.BestTimeMS),
 				ares.Measurements, ares.Invalid, fmt.Sprintf("%.0f", ares.GPUSeconds))
 		}
 	}
-	fmt.Print(table.String())
+	if _, err := fmt.Fprint(stdout, table.String()); err != nil {
+		return err
+	}
 	if store != nil {
 		st := store.Stats()
-		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses, %d warm starts, %d puts (%d skipped)\n",
+		logf("cache: %d hits, %d misses, %d warm starts, %d puts (%d skipped)\n",
 			st.Hits, st.Misses, st.WarmStarts, st.Puts, st.PutSkips)
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "glimpse:", err)
-	os.Exit(1)
+	return nil
 }

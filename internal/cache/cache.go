@@ -129,7 +129,7 @@ func Open(path string) (*Store, error) {
 		_ = f.Close() // already on the error path; the load error wins
 		return nil, err
 	}
-	if err := repairTail(f, data); err != nil {
+	if err := tlog.RepairTail(f, data); err != nil {
 		_ = f.Close() // already on the error path; the repair error wins
 		return nil, fmt.Errorf("cache: %s: %w", path, err)
 	}
@@ -195,29 +195,6 @@ func (s *Store) admit(e Entry) bool {
 	return true
 }
 
-// repairTail leaves f positioned at the end of the last complete line,
-// terminating or discarding a partial trailing write.
-func repairTail(f *os.File, data []byte) error {
-	if len(data) == 0 || data[len(data)-1] == '\n' {
-		_, err := f.Seek(int64(len(data)), io.SeekStart)
-		return err
-	}
-	cut := bytes.LastIndexByte(data, '\n') + 1
-	if tail := bytes.TrimSpace(data[cut:]); json.Valid(tail) {
-		// Complete JSON missing only its newline: terminate it in place.
-		if _, err := f.Seek(int64(len(data)), io.SeekStart); err != nil {
-			return err
-		}
-		_, err := f.Write([]byte("\n"))
-		return err
-	}
-	if err := f.Truncate(int64(cut)); err != nil {
-		return err
-	}
-	_, err := f.Seek(int64(cut), io.SeekStart)
-	return err
-}
-
 // SetMetrics mirrors the store's hit/miss/put counters into a telemetry
 // registry (counters cache_hit, cache_miss, cache_warm_start, cache_put).
 func (s *Store) SetMetrics(reg *telemetry.Registry) {
@@ -240,6 +217,12 @@ func (s *Store) count(name string, field *int) {
 // re-registered custom GPU, a corrected datasheet), the stored config was
 // tuned for different hardware and the lookup is treated as a miss.
 func (s *Store) Get(fingerprint, device string) (Entry, bool) {
+	return s.serve(fingerprint, device, math.MaxInt64)
+}
+
+// serve is Get for a space of size configurations: an entry whose config
+// falls outside it is stale, and a miss like any other.
+func (s *Store) serve(fingerprint, device string, size int64) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[storeKey(fingerprint, device)]
@@ -248,6 +231,7 @@ func (s *Store) Get(fingerprint, device string) (Entry, bool) {
 			ok = false
 		}
 	}
+	ok = ok && e.BestConfig < size
 	if ok {
 		s.count("cache_hit", &s.stats.Hits)
 	} else {

@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"github.com/neuralcompile/glimpse/internal/acq"
 	"github.com/neuralcompile/glimpse/internal/blueprint"
 	"github.com/neuralcompile/glimpse/internal/hwspec"
 	"github.com/neuralcompile/glimpse/internal/prior"
+	"github.com/neuralcompile/glimpse/internal/rng"
 )
 
 // toolkitJSON is the on-disk form of a trained toolkit.
@@ -63,4 +65,33 @@ func LoadToolkit(path string) (*Toolkit, error) {
 	// The prior references the same embedding instance after a round trip.
 	v.Prior.Emb = v.Emb
 	return &Toolkit{TargetName: v.TargetName, Emb: v.Emb, Prior: v.Prior, Acq: v.Acq}, nil
+}
+
+// LoadOrTrainToolkit returns the toolkit saved at path when it loads and
+// targets gpu. Otherwise it trains one for gpu from g with the default
+// config and, when path is set, saves it there, creating the directory.
+// loaded reports which of the two happened.
+func LoadOrTrainToolkit(path, gpu string, g *rng.RNG) (tk *Toolkit, loaded bool, err error) {
+	return loadOrTrainToolkit(path, gpu, ToolkitConfig{}, g)
+}
+
+func loadOrTrainToolkit(path, gpu string, cfg ToolkitConfig, g *rng.RNG) (tk *Toolkit, loaded bool, err error) {
+	if path != "" {
+		if tk, err := LoadToolkit(path); err == nil && tk.TargetName == gpu {
+			return tk, true, nil
+		}
+	}
+	tk, err = TrainToolkit(gpu, cfg, g)
+	if err != nil {
+		return nil, false, err
+	}
+	if path != "" {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			return nil, false, err
+		}
+		if err := tk.Save(path); err != nil {
+			return nil, false, err
+		}
+	}
+	return tk, false, nil
 }

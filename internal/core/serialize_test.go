@@ -8,6 +8,8 @@ import (
 
 	"github.com/neuralcompile/glimpse/internal/acq"
 	"github.com/neuralcompile/glimpse/internal/hwspec"
+	"github.com/neuralcompile/glimpse/internal/prior"
+	"github.com/neuralcompile/glimpse/internal/rng"
 	"github.com/neuralcompile/glimpse/internal/workload"
 )
 
@@ -85,5 +87,44 @@ func TestLoadToolkitErrors(t *testing.T) {
 	}
 	if _, err := LoadToolkit(wrongVer); err == nil {
 		t.Fatal("wrong version accepted")
+	}
+}
+
+// TestLoadOrTrainToolkit: a missing artifact directory is created and the
+// trained toolkit saved into it; an artifact for another target is not
+// served but retrained over; a matching artifact loads without training.
+func TestLoadOrTrainToolkit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains models")
+	}
+	task, err := workload.TaskByIndex(workload.ResNet18, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ToolkitConfig{
+		TrainGPUs:  []string{"gtx-1080", "rtx-2080"},
+		PriorTasks: []workload.Task{task},
+		MetaTasks:  []workload.Task{task},
+		MetaGPUs:   1,
+		Prior:      prior.TrainConfig{Dataset: prior.DatasetConfig{SamplesPerTask: 40, TopK: 8}, Epochs: 20},
+		Meta:       acq.MetaConfig{Steps: 2, Epochs: 20},
+	}
+	path := filepath.Join(t.TempDir(), "artifacts", "toolkit.json")
+
+	tk, loaded, err := loadOrTrainToolkit(path, hwspec.TitanXp, cfg, rng.New(1))
+	if err != nil || loaded || tk.TargetName != hwspec.TitanXp {
+		t.Fatalf("first call: loaded=%v err=%v", loaded, err)
+	}
+	if saved, err := LoadToolkit(path); err != nil || saved.TargetName != hwspec.TitanXp {
+		t.Fatalf("artifact not saved into the created directory: %v", err)
+	}
+
+	other, loaded, err := loadOrTrainToolkit(path, "rtx-3090", cfg, rng.New(1))
+	if err != nil || loaded || other.TargetName != "rtx-3090" {
+		t.Fatalf("wrong-target artifact: loaded=%v err=%v", loaded, err)
+	}
+	again, loaded, err := loadOrTrainToolkit(path, "rtx-3090", cfg, rng.New(1))
+	if err != nil || !loaded || again.TargetName != "rtx-3090" {
+		t.Fatalf("retrained artifact: loaded=%v err=%v", loaded, err)
 	}
 }

@@ -66,34 +66,11 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 		_ = f.Close() // already on the error path; the read error wins
 		return nil, fmt.Errorf("fleet: checkpoint %s: %w", path, err)
 	}
-	if err := repairTail(f, data); err != nil {
+	if err := tlog.RepairTail(f, data); err != nil {
 		_ = f.Close() // already on the error path; the read error wins
 		return nil, fmt.Errorf("fleet: checkpoint %s: %w", path, err)
 	}
 	return c, nil
-}
-
-// repairTail leaves f positioned at the end of the last complete line,
-// terminating or discarding a partial trailing write.
-func repairTail(f *os.File, data []byte) error {
-	if len(data) == 0 || data[len(data)-1] == '\n' {
-		_, err := f.Seek(int64(len(data)), io.SeekStart)
-		return err
-	}
-	cut := bytes.LastIndexByte(data, '\n') + 1
-	if tail := bytes.TrimSpace(data[cut:]); json.Valid(tail) {
-		// Complete JSON missing only its newline: terminate it in place.
-		if _, err := f.Seek(int64(len(data)), io.SeekStart); err != nil {
-			return err
-		}
-		_, err := f.Write([]byte("\n"))
-		return err
-	}
-	if err := f.Truncate(int64(cut)); err != nil {
-		return err
-	}
-	_, err := f.Seek(int64(cut), io.SeekStart)
-	return err
 }
 
 // Lookup returns the checkpointed plan for a task, if any.

@@ -187,81 +187,71 @@ func runTask(cfg *Config, m measure.Measurer, task workload.Task, g *rng.RNG) (T
 		return failed(err), nil
 	}
 
-	// Tuned-config cache: exact hit serves the stored best with zero
+	// Tuned-config cache: an exact hit serves the stored best with zero
 	// measurements; a miss seeds the session from the nearest donors.
-	var fp string
-	budget := cfg.Budget
-	var warm *cache.WarmStart
-	if cfg.Cache != nil {
-		fp = cache.Fingerprint(task, sp)
-		lsp, _ := cfg.Tracer.StartSpan(taskSC, telemetry.StageCacheLookup)
-		lsp.SetAttr("task", task.Name())
-		ce, hit := cfg.Cache.Get(fp, m.DeviceName())
-		if !hit {
-			warm = cfg.Cache.WarmStart(fp, m.DeviceName(), sp, cfg.WarmK)
-			lsp.SetAttr("donors", warmDonors(warm))
+	lk := cfg.Cache.Lookup(task, sp, m.DeviceName(), cfg.WarmK, cfg.Tracer, taskSC)
+	res, warm := lk.Hit, false
+	if res == nil {
+		tn, err := cfg.NewTuner(task, m.DeviceName())
+		if err != nil {
+			return failed(err), nil
 		}
-		lsp.SetAttr("hit", hit)
-		lsp.End()
-		if hit && ce.BestConfig < sp.Size() {
-			hsp, _ := cfg.Tracer.StartSpan(taskSC, telemetry.StageCacheHit)
-			hsp.SetAttr("task", task.Name())
-			hsp.SetAttr("gflops", ce.GFLOPS)
-			tp := TaskPlan{
-				TaskName:    task.Name(),
-				TaskIndex:   task.Index,
-				Kind:        task.Kind.String(),
-				ConfigIndex: ce.BestConfig,
-				Schedule:    sp.Describe(sp.FromIndex(ce.BestConfig)),
-				GFLOPS:      ce.GFLOPS,
-				TimeMS:      ce.TimeMS,
-				Repeats:     task.Repeats,
-				FromCache:   true,
-			}
-			if cfg.GenerateKernels {
-				kern, err := codegen.Lower(task, sp, sp.FromIndex(ce.BestConfig))
-				if err != nil {
-					hsp.End()
-					return failed(err), nil
-				}
-				tp.Kernel = kern.Render()
-			}
-			hsp.End()
-			tsp.SetAttr("outcome", "cached")
-			return tp, nil
+		// Parent the tuner's step/measure spans under this task span, and
+		// bind the measurer chain so remote endpoints record their side
+		// under the same trace. Both are identity-only: tuners and
+		// measurers that support neither still run identically.
+		if tb, ok := tn.(interface {
+			SetTraceContext(telemetry.SpanContext)
+		}); ok {
+			tb.SetTraceContext(taskSC)
+		}
+		measure.BindTrace(m, taskSC)
+		var budget tuner.Budget
+		budget, warm = lk.ApplyWarmStart(tn, cfg.Budget)
+		res, err = tn.Tune(task, sp, m, budget, g.Split("fleet/"+task.Name()))
+		if err != nil {
+			return failed(fmt.Errorf("fleet: %s: %w", task.Name(), err)), nil
+		}
+		if res.BestIndex < 0 {
+			return failed(fmt.Errorf("fleet: %s: no valid configuration found", task.Name())), nil
 		}
 	}
+	tp := NewTaskPlan(task, sp, res)
+	tp.FromCache = lk.Hit != nil
+	tp.WarmStarted = warm
+	if cfg.GenerateKernels {
+		kern, err := codegen.Lower(task, sp, sp.FromIndex(res.BestIndex))
+		if err != nil {
+			return failed(err), nil
+		}
+		tp.Kernel = kern.Render()
+	}
+	if tp.FromCache {
+		tsp.SetAttr("outcome", "cached")
+		return tp, nil
+	}
+	if cfg.Checkpoint != nil {
+		csp, _ := cfg.Tracer.StartSpan(taskSC, telemetry.StageCheckpoint)
+		csp.SetAttr("task", task.Name())
+		err := cfg.Checkpoint.Append(cfg.Model, m.DeviceName(), tp)
+		csp.End()
+		if err != nil {
+			return tp, fmt.Errorf("fleet: checkpoint %s: %w", task.Name(), err)
+		}
+	}
+	if err := cfg.Cache.Record(lk, cfg.Model, task, sp, res); err != nil {
+		return tp, fmt.Errorf("fleet: cache put %s: %w", task.Name(), err)
+	}
+	tsp.SetAttr("outcome", "ok")
+	tsp.SetAttr("measurements", res.Measurements)
+	return tp, nil
+}
 
-	tn, err := cfg.NewTuner(task, m.DeviceName())
-	if err != nil {
-		return failed(err), nil
-	}
-	// Parent the tuner's step/measure spans under this task span, and
-	// bind the measurer chain so remote endpoints record their side under
-	// the same trace. Both are identity-only: tuners and measurers that
-	// support neither still run identically.
-	if tb, ok := tn.(interface {
-		SetTraceContext(telemetry.SpanContext)
-	}); ok {
-		tb.SetTraceContext(taskSC)
-	}
-	measure.BindTrace(m, taskSC)
-	if warm != nil {
-		if w, ok := tn.(cache.WarmStartable); ok {
-			w.SetWarmStart(warm)
-			budget = cache.ShrinkBudget(budget, cache.WarmBudgetFrac)
-		} else {
-			warm = nil
-		}
-	}
-	res, err := tn.Tune(task, sp, m, budget, g.Split("fleet/"+task.Name()))
-	if err != nil {
-		return failed(fmt.Errorf("fleet: %s: %w", task.Name(), err)), nil
-	}
-	if res.BestIndex < 0 {
-		return failed(fmt.Errorf("fleet: %s: no valid configuration found", task.Name())), nil
-	}
-	tp := TaskPlan{
+// NewTaskPlan records a finished tuning result as task's deployment
+// decision. Kernel source and the checkpoint, cache and warm-start flags
+// are the caller's to set.
+func NewTaskPlan(task workload.Task, sp *space.Space, res *tuner.Result) TaskPlan {
+	return TaskPlan{
 		TaskName:     task.Name(),
 		TaskIndex:    task.Index,
 		Kind:         task.Kind.String(),
@@ -273,44 +263,7 @@ func runTask(cfg *Config, m measure.Measurer, task workload.Task, g *rng.RNG) (T
 		GPUSeconds:   res.GPUSeconds,
 		Measurements: res.Measurements,
 		Invalid:      res.Invalid,
-		WarmStarted:  warm != nil,
 	}
-	if cfg.GenerateKernels {
-		kern, err := codegen.Lower(task, sp, sp.FromIndex(res.BestIndex))
-		if err != nil {
-			return failed(err), nil
-		}
-		tp.Kernel = kern.Render()
-	}
-	if cfg.Checkpoint != nil {
-		csp, _ := cfg.Tracer.StartSpan(taskSC, telemetry.StageCheckpoint)
-		csp.SetAttr("task", task.Name())
-		err := cfg.Checkpoint.Append(cfg.Model, m.DeviceName(), tp)
-		csp.End()
-		if err != nil {
-			return tp, fmt.Errorf("fleet: checkpoint %s: %w", task.Name(), err)
-		}
-	}
-	if cfg.Cache != nil {
-		if ce, ok := cache.EntryFromResult(fp, m.DeviceName(), res, sp); ok {
-			ce.Model = cfg.Model
-			ce.TaskIndex = task.Index
-			if _, err := cfg.Cache.Put(ce); err != nil {
-				return tp, fmt.Errorf("fleet: cache put %s: %w", task.Name(), err)
-			}
-		}
-	}
-	tsp.SetAttr("outcome", "ok")
-	tsp.SetAttr("measurements", res.Measurements)
-	return tp, nil
-}
-
-// warmDonors renders a warm start's donor list for trace attributes.
-func warmDonors(ws *cache.WarmStart) int {
-	if ws == nil {
-		return 0
-	}
-	return len(ws.Donors)
 }
 
 // assemblePlan rolls completed task plans (in task order) into the
@@ -392,6 +345,7 @@ func assembleLatency(tasks []workload.Task, plans []TaskPlan) float64 {
 	}
 	bestConv := map[workload.ConvShape]float64{}
 	repeats := map[workload.ConvShape]int{}
+	var shapes []workload.ConvShape // first-seen order, so the sum is reproducible
 	total := 0.0
 	for _, task := range tasks {
 		tp, ok := byIndex[task.Index]
@@ -402,13 +356,17 @@ func assembleLatency(tasks []workload.Task, plans []TaskPlan) float64 {
 			total += tp.TimeMS * float64(task.Repeats)
 			continue
 		}
-		if old, seen := bestConv[task.Conv]; !seen || tp.TimeMS < old {
+		old, seen := bestConv[task.Conv]
+		if !seen {
+			shapes = append(shapes, task.Conv)
+		}
+		if !seen || tp.TimeMS < old {
 			bestConv[task.Conv] = tp.TimeMS
 		}
 		repeats[task.Conv] = task.Repeats
 	}
-	for shape, ms := range bestConv {
-		total += ms * float64(repeats[shape])
+	for _, shape := range shapes {
+		total += bestConv[shape] * float64(repeats[shape])
 	}
 	return total
 }

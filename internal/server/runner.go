@@ -10,14 +10,12 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/neuralcompile/glimpse/internal/cache"
 	"github.com/neuralcompile/glimpse/internal/core"
 	"github.com/neuralcompile/glimpse/internal/measure"
 	"github.com/neuralcompile/glimpse/internal/rng"
 	"github.com/neuralcompile/glimpse/internal/space"
 	"github.com/neuralcompile/glimpse/internal/telemetry"
 	"github.com/neuralcompile/glimpse/internal/tlog"
-	"github.com/neuralcompile/glimpse/internal/tuner"
 	"github.com/neuralcompile/glimpse/internal/workload"
 )
 
@@ -55,24 +53,11 @@ func (tp *trainingToolkits) Toolkit(gpu string, seed int64) (*core.Toolkit, erro
 	}
 	var path string
 	if tp.dir != "" {
-		name := fmt.Sprintf("%s-seed%d.json", strings.ReplaceAll(gpu, "/", "_"), seed)
-		path = filepath.Join(tp.dir, name)
-		if tk, err := core.LoadToolkit(path); err == nil && tk.TargetName == gpu {
-			tp.cache[key] = tk
-			return tk, nil
-		}
+		path = filepath.Join(tp.dir, fmt.Sprintf("%s-seed%d.json", strings.ReplaceAll(gpu, "/", "_"), seed))
 	}
-	tk, err := core.TrainToolkit(gpu, core.ToolkitConfig{}, rng.New(seed).Split("toolkit"))
+	tk, _, err := core.LoadOrTrainToolkit(path, gpu, rng.New(seed).Split("toolkit"))
 	if err != nil {
 		return nil, err
-	}
-	if path != "" {
-		if err := os.MkdirAll(tp.dir, 0o755); err != nil {
-			return nil, err
-		}
-		if err := tk.Save(path); err != nil {
-			return nil, err
-		}
 	}
 	tp.cache[key] = tk
 	return tk, nil
@@ -123,38 +108,20 @@ func (s *Server) runJob(ctx context.Context, rj *runningJob) {
 	jsp.SetAttr("task", spec.TaskIndex)
 	defer jsp.End()
 
-	budget := spec.budget()
-
 	// Tuned-config store: exact hits skip the session entirely, misses
-	// warm-start from nearest donor devices under a shrunken budget.
-	var fp string
-	var warm *cache.WarmStart
-	if s.cache != nil {
-		fp = cache.Fingerprint(task, sp)
-		if ce, hit := s.cache.Get(fp, spec.GPU); hit && ce.BestConfig < sp.Size() {
-			res := &tuner.Result{
-				TunerName:  "glimpse (cache)",
-				TaskName:   task.Name(),
-				BestIndex:  ce.BestConfig,
-				BestGFLOPS: ce.GFLOPS,
-				BestTimeMS: ce.TimeMS,
-			}
-			s.mu.Lock()
-			j.Cached = true
-			s.mu.Unlock()
-			s.tenantCounter(mCacheHits, spec.Tenant).Inc()
-			s.observeFirstProgress(j)
-			jsp.SetAttr("outcome", "cached")
-			s.finishJob(j, StateDone, "served from tuned-config cache", res)
-			return
-		}
-		warm = s.cache.WarmStart(fp, spec.GPU, sp, s.cfg.WarmK)
-		if warm != nil {
-			budget = cache.ShrinkBudget(budget, cache.WarmBudgetFrac)
-			s.mu.Lock()
-			j.Warm = true
-			s.mu.Unlock()
-		}
+	// warm-start from nearest donor devices under a shrunken budget. The
+	// toolkit and measurer are fetched only after a miss, so a hit never
+	// waits behind toolkit training.
+	lk := s.cache.Lookup(task, sp, spec.GPU, s.cfg.WarmK, s.tracer, jsc)
+	if lk.Hit != nil {
+		s.mu.Lock()
+		j.Cached = true
+		s.mu.Unlock()
+		s.tenantCounter(mCacheHits, spec.Tenant).Inc()
+		s.observeFirstProgress(j)
+		jsp.SetAttr("outcome", "cached")
+		s.finishJob(j, StateDone, "served from tuned-config cache", lk.Hit)
+		return
 	}
 
 	tk, err := s.cfg.Toolkits.Toolkit(spec.GPU, spec.Seed)
@@ -185,8 +152,11 @@ func (s *Server) runJob(ctx context.Context, rj *runningJob) {
 	}()
 
 	gl := tk.Tuner()
-	if warm != nil {
-		gl.SetWarmStart(warm)
+	budget, warm := lk.ApplyWarmStart(gl, spec.budget())
+	if warm {
+		s.mu.Lock()
+		j.Warm = true
+		s.mu.Unlock()
 	}
 	if s.tracer != nil {
 		gl.Tracer = s.tracer
@@ -261,15 +231,9 @@ func (s *Server) runJob(ctx context.Context, rj *runningJob) {
 	s.ledger.AddJob(spec.Tenant)
 
 	detail := ""
-	if s.cache != nil && !s.cache.ReadOnly() {
-		if ce, ok := cache.EntryFromResult(fp, spec.GPU, res, sp); ok {
-			ce.Model = spec.Model
-			ce.TaskIndex = task.Index
-			if _, err := s.cache.Put(ce); err != nil {
-				detail = fmt.Sprintf("result cached failed: %v", err)
-				s.logf("glimpsed: job %s: cache put: %v\n", j.ID, err)
-			}
-		}
+	if err := s.cache.Record(lk, spec.Model, task, sp, res); err != nil {
+		detail = fmt.Sprintf("result cached failed: %v", err)
+		s.logf("glimpsed: job %s: cache put: %v\n", j.ID, err)
 	}
 	s.finishJob(j, StateDone, detail, res)
 }

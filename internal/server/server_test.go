@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/neuralcompile/glimpse/internal/cache"
 	"github.com/neuralcompile/glimpse/internal/core"
 	"github.com/neuralcompile/glimpse/internal/gpusim"
 	"github.com/neuralcompile/glimpse/internal/hwspec"
@@ -19,6 +20,7 @@ import (
 	"github.com/neuralcompile/glimpse/internal/prior"
 	"github.com/neuralcompile/glimpse/internal/rng"
 	"github.com/neuralcompile/glimpse/internal/space"
+	"github.com/neuralcompile/glimpse/internal/telemetry"
 	"github.com/neuralcompile/glimpse/internal/tuner"
 	"github.com/neuralcompile/glimpse/internal/workload"
 )
@@ -483,6 +485,65 @@ func TestServeCacheHit(t *testing.T) {
 	if second.Result.BestGFLOPS != first.Result.BestGFLOPS {
 		t.Fatalf("cache served %v GFLOPS, tuned run found %v",
 			second.Result.BestGFLOPS, first.Result.BestGFLOPS)
+	}
+}
+
+// TestServeWarmStart: a spec tuned before only on a neighboring SKU
+// warm-starts from it under the shrunken budget, and the result is
+// byte-identical to a library run handed the same warm start and budget.
+func TestServeWarmStart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs tuning sessions")
+	}
+	dir := t.TempDir()
+	donorSpec := JobSpec{Model: workload.ResNet18, TaskIndex: 7, GPU: "rtx-2080-ti",
+		Seed: 41, MaxMeasurements: 48}
+	spec := donorSpec
+	spec.GPU = hwspec.TitanXp
+	s, base := newTestServer(t, dir, func(c *Config) {
+		c.CachePath = dir + "/tuned.jsonl"
+	})
+	defer drainNow(t, s)
+
+	donor := waitTerminal(t, base, submitJob(t, base, donorSpec), 120*time.Second)
+	if donor.State != StateDone || donor.Cached || donor.Warm {
+		t.Fatalf("donor run: state=%s cached=%v warm=%v", donor.State, donor.Cached, donor.Warm)
+	}
+	warm := waitTerminal(t, base, submitJob(t, base, spec), 120*time.Second)
+	if warm.State != StateDone || warm.Cached || !warm.Warm {
+		t.Fatalf("warm run: state=%s cached=%v warm=%v (%s)", warm.State, warm.Cached, warm.Warm, warm.Detail)
+	}
+	if warm.Result.Measurements > 34 { // ⌈0.7 × 48⌉
+		t.Fatalf("warm run spent %d measurements, budget is 34", warm.Result.Measurements)
+	}
+
+	// Library reference: the donor's result in a fresh store, the warm
+	// start it yields for titan-xp, the shrunken budget, and cmd/glimpse's
+	// tuning stream.
+	task, err := workload.TaskByIndex(spec.Model, spec.TaskIndex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := space.MustForTask(task)
+	ref := cache.NewMemory()
+	if err := ref.Record(ref.Lookup(task, sp, donorSpec.GPU, 3, nil, telemetry.SpanContext{}),
+		spec.Model, task, sp, oneShotResult(t, donorSpec)); err != nil {
+		t.Fatal(err)
+	}
+	norm := spec
+	norm.normalize(192)
+	gl := testToolkit(t).Tuner()
+	budget, ok := ref.Lookup(task, sp, spec.GPU, 3, nil, telemetry.SpanContext{}).ApplyWarmStart(gl, norm.budget())
+	if !ok || budget.MaxMeasurements != 34 {
+		t.Fatalf("reference warm start: warm=%v budget=%+v", ok, budget)
+	}
+	want, err := gl.Tune(task, sp, measure.MustNewLocal(spec.GPU), budget,
+		rng.New(spec.Seed).Split("tune/"+task.Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := resultBytes(t, want), resultBytes(t, warm.Result); !bytes.Equal(a, b) {
+		t.Fatalf("warm-started job diverged from the library run:\nlibrary: %s\nserved:  %s", a, b)
 	}
 }
 

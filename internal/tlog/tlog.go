@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 
 	"github.com/neuralcompile/glimpse/internal/gpusim"
@@ -104,6 +105,32 @@ func ReadJSONLines(r io.Reader, fn func(line []byte) error) error {
 			return nil
 		}
 	}
+}
+
+// RepairTail leaves f, whose full contents are data, positioned at the
+// end of its last complete line, so the next append starts clean. An
+// unterminated final line that ReadJSONLines keeps (it parses as JSON) is
+// terminated in place; one it drops is truncated away. Both decisions use
+// the same test, so a repaired file reads back exactly as it did before.
+func RepairTail(f *os.File, data []byte) error {
+	if len(data) == 0 || data[len(data)-1] == '\n' {
+		_, err := f.Seek(int64(len(data)), io.SeekStart)
+		return err
+	}
+	cut := bytes.LastIndexByte(data, '\n') + 1
+	if json.Valid(data[cut:]) {
+		// Complete JSON missing only its newline: terminate it in place.
+		if _, err := f.Seek(int64(len(data)), io.SeekStart); err != nil {
+			return err
+		}
+		_, err := f.Write([]byte("\n"))
+		return err
+	}
+	if err := f.Truncate(int64(cut)); err != nil {
+		return err
+	}
+	_, err := f.Seek(int64(cut), io.SeekStart)
+	return err
 }
 
 // Read parses a JSONL log (tolerating a truncated final line, see
